@@ -21,6 +21,10 @@
 // Gates (exit nonzero on violation — a regression gate, not a demo):
 //   * zero identity mismatches and zero exhausted-retry failures,
 //   * p99 latency bounded by max(100 x p50, 1 s),
+//   * same-run ratio: the 1-client remote p50 is at most 20 x the p50 of
+//     the same request stream answered by the in-process service (the
+//     p99 gate above is relative to p50, so a uniform stall such as the
+//     ~40 ms delayed-ACK floor passes it; this one it cannot),
 //   * chaos pass observed at least one injected fault (else it tested
 //     nothing), and the server counted it,
 //   * clean drain after every pass.
@@ -105,6 +109,36 @@ struct PassResult {
   gs::Samples latencies;
 };
 
+/// Client c's deterministic request stream (shared by the remote passes
+/// and the in-process baseline).
+Lcg client_stream(std::size_t c) { return Lcg{0x9e3779b97f4a7c15ull ^ (c + 1)}; }
+
+/// Client 0's request stream answered by the in-process service: the
+/// denominator of the remote/in-process ratio gate.
+PassResult run_inprocess(gs::svc::Service& service, std::size_t reqs,
+                         const std::vector<std::uint32_t>& expected,
+                         std::int64_t n_steps, std::int64_t L) {
+  PassResult result;
+  Lcg rng = client_stream(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < reqs; ++r) {
+    const std::size_t q = rng.next() % kQuerySpace;
+    const auto a = std::chrono::steady_clock::now();
+    const gs::svc::Response response = service.call(make_query(q, n_steps, L));
+    const auto b = std::chrono::steady_clock::now();
+    if (!response.status.ok() || identity_crc(response) != expected[q]) {
+      ++result.wrong;
+    } else {
+      ++result.ok;
+      result.latencies.add(std::chrono::duration<double>(b - a).count());
+    }
+  }
+  result.elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return result;
+}
+
 /// One closed-loop pass of `n_clients` rpc::Clients against `endpoint`.
 PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
                     std::size_t reqs_per_client,
@@ -120,7 +154,7 @@ PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
       config.retries = 6;
       config.backoff_ms = 1.0;
       gs::rpc::Client client(endpoint, config);
-      Lcg rng{0x9e3779b97f4a7c15ull ^ (c + 1)};
+      Lcg rng = client_stream(c);
       for (std::size_t r = 0; r < reqs_per_client; ++r) {
         const std::size_t q = rng.next() % kQuerySpace;
         const auto a = std::chrono::steady_clock::now();
@@ -197,9 +231,24 @@ int main(int argc, char** argv) {
   std::printf("dataset: %s  (%zu-query ground truth precomputed)\n\n",
               kDataset, kQuerySpace);
 
-  // Phase 2: clean client sweep.
+  // Phase 2: clean client sweep, after the in-process baseline.
+  const PassResult inproc =
+      run_inprocess(service, reqs_per_client, expected, n_steps, settings.L);
+  if (inproc.wrong != 0) {
+    std::printf("FAIL: in-process baseline answered %llu queries wrong\n",
+                (unsigned long long)inproc.wrong);
+    failed = true;
+  }
+  double remote_p50 = 0.0;  ///< the 1-client pass
   gs::TableFormatter table(
       {"clients", "req/s", "p50", "p95", "p99", "wrong", "failed"});
+  table.row({"in-process",
+             gs::format_fixed(
+                 inproc.elapsed > 0 ? inproc.ok / inproc.elapsed : 0.0, 1),
+             gs::format_seconds(inproc.latencies.percentile(50)),
+             gs::format_seconds(inproc.latencies.percentile(95)),
+             gs::format_seconds(inproc.latencies.percentile(99)),
+             std::to_string(inproc.wrong), "0"});
   for (const std::size_t n_clients : {1u, 8u, 64u}) {
     gs::rpc::ServerConfig config;
     config.max_connections = 128;
@@ -224,6 +273,7 @@ int main(int argc, char** argv) {
     }
     const double p50 = r.latencies.percentile(50);
     const double p99 = r.latencies.percentile(99);
+    if (n_clients == 1) remote_p50 = p50;
     if (p99 > std::max(100.0 * p50, 1.0)) {
       std::printf("FAIL: %zu-client p99 %.3fs exceeds max(100 x p50, 1s) "
                   "(p50 %.6fs)\n",
@@ -237,6 +287,21 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", table.str().c_str());
+
+  constexpr double kMaxRemoteToInproc = 20.0;
+  const double inproc_p50 = inproc.latencies.percentile(50);
+  const double ratio = remote_p50 / inproc_p50;
+  std::printf("1-client remote p50 / in-process p50: %s / %s = %.1fx "
+              "(gate <= %.0fx)\n\n",
+              gs::format_seconds(remote_p50).c_str(),
+              gs::format_seconds(inproc_p50).c_str(), ratio,
+              kMaxRemoteToInproc);
+  if (ratio > kMaxRemoteToInproc) {
+    std::printf("FAIL: remote p50 is %.1fx the in-process p50 for the same "
+                "requests (gate %.0fx): the transport stalls\n",
+                ratio, kMaxRemoteToInproc);
+    failed = true;
+  }
 
   // Phase 3: chaos — torn writes on the shared wire path plus killed
   // connections at accept, absorbed by client retry loops.

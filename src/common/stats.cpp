@@ -316,6 +316,54 @@ double Samples::spread_percent() const {
   return (max() - min()) / m * 100.0;
 }
 
+void LatencyHistogram::add(double x) {
+  if (count_ == 0) {
+    min_ = max_ = x;
+  } else {
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+  ++count_;
+  sum_ += x;
+  ++counts_[bucket_of(x)];
+}
+
+double LatencyHistogram::mean() const {
+  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+}
+
+double LatencyHistogram::percentile(double p) const {
+  GS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile " << p << " out of [0,100]");
+  if (count_ == 0) return 0.0;
+  const auto rank = static_cast<std::uint64_t>(
+      p / 100.0 * static_cast<double>(count_ - 1));
+  if (rank == 0) return min_;
+  if (rank == count_ - 1) return max_;
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += counts_[b];
+    if (seen > rank) return std::clamp(bucket_mid(b), min_, max_);
+  }
+  return max_;
+}
+
+std::size_t LatencyHistogram::bucket_of(double x) {
+  // Negative, zero, NaN and tiny values share the first bucket.
+  if (!(x >= std::ldexp(1.0, kMinExponent))) return 0;
+  if (x >= std::ldexp(1.0, kMaxExponent)) return kBuckets - 1;
+  int e = 0;
+  const double m = std::frexp(x, &e);  // x = m * 2^e, m in [0.5, 1)
+  const auto octave = static_cast<std::size_t>(e - 1 - kMinExponent);
+  const auto sub = static_cast<std::size_t>((2.0 * m - 1.0) * kSubBuckets);
+  return octave * kSubBuckets + sub;
+}
+
+double LatencyHistogram::bucket_mid(std::size_t bucket) {
+  const auto octave = static_cast<int>(bucket / kSubBuckets);
+  const auto sub = static_cast<double>(bucket % kSubBuckets);
+  return std::ldexp(1.0 + (sub + 0.5) / kSubBuckets, octave + kMinExponent);
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   GS_REQUIRE(bins > 0, "histogram needs at least one bin");

@@ -169,10 +169,15 @@ class DecayedRate {
   bool started_ = false;
 };
 
-/// Sample container with percentile queries (keeps all values).
+/// Sample container with percentile queries (keeps all values, so it is
+/// for offline statistics such as bench repeats; live daemons use
+/// LatencyHistogram).
 class Samples {
  public:
-  void add(double x) { values_.push_back(x); }
+  void add(double x) {
+    values_.push_back(x);
+    sorted_valid_ = false;
+  }
   void reserve(std::size_t n) { values_.reserve(n); }
 
   std::size_t count() const { return values_.size(); }
@@ -197,6 +202,49 @@ class Samples {
   mutable bool sorted_valid_ = false;
 
   const std::vector<double>& sorted() const;
+};
+
+/// Fixed-memory latency distribution for live processes: a log-linear
+/// (HdrHistogram-style) bucket array with kSubBuckets linear buckets per
+/// power of two, over [2^kMinExponent, 2^kMaxExponent) seconds (about
+/// 1 ns to 17 min). Memory is the same at every count (about 5 KB, no
+/// heap), add() is O(1), and a query scans the buckets once, so stats
+/// polls stay cheap however long a daemon runs.
+///
+/// percentile(p) finds the bucket holding the sample of rank
+/// floor(p/100 * (count-1)) and answers that bucket's midpoint, clamped
+/// to the exact min/max. Inside the range it is within kRelativeError
+/// (1/32, about 3.1%) of that sample; values outside the range clamp into
+/// the first/last bucket. The lowest and highest ranks answer the exact
+/// min and max. count() and mean() are exact: mean() sums in add()
+/// order, as Samples::mean() does. Empty, every query answers 0. Not
+/// thread-safe (callers hold their stats lock).
+class LatencyHistogram {
+ public:
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kMinExponent = -30;
+  static constexpr int kMaxExponent = 10;
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets;
+  static constexpr double kRelativeError = 0.5 / kSubBuckets;
+
+  void add(double x);
+
+  std::uint64_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  double mean() const;
+  /// p in [0, 100].
+  double percentile(double p) const;
+
+ private:
+  static std::size_t bucket_of(double x);
+  static double bucket_mid(std::size_t bucket);
+
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+  std::array<std::uint64_t, kBuckets> counts_{};
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range values clamp into

@@ -10,7 +10,14 @@ namespace gs::rpc {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
+
+fault::RetryPolicy retry_policy(const ClientConfig& config) {
+  fault::RetryPolicy policy;
+  policy.attempts = config.retries;
+  policy.backoff_seconds = config.backoff_ms / 1000.0;
+  return policy;
 }
+}  // namespace
 
 Client::Client(Endpoint endpoint, ClientConfig config)
     : endpoint_(std::move(endpoint)), config_(config) {}
@@ -27,7 +34,22 @@ void Client::ensure_connected() {
   sock_ = dial(endpoint_, config_.connect_timeout_ms);
 }
 
-Frame Client::await(std::uint64_t id, FrameType want) {
+std::uint64_t Client::post(FrameType type, std::vector<std::byte> payload) {
+  try {
+    ensure_connected();
+    Frame frame;
+    frame.type = type;
+    frame.id = next_id_++;
+    frame.payload = std::move(payload);
+    send_frame(sock_, frame, config_.io_timeout_ms);
+    return frame.id;
+  } catch (const IoError&) {
+    disconnect();  // the next attempt reconnects from scratch
+    throw;
+  }
+}
+
+Frame Client::await(std::uint64_t id, FrameType want) try {
   const bool bounded = config_.call_timeout_ms > 0;
   const auto deadline =
       SteadyClock::now() +
@@ -48,7 +70,7 @@ Frame Client::await(std::uint64_t id, FrameType want) {
       slice = std::min<std::int64_t>(slice, left);
     }
     if (!sock_.wait_readable(slice)) continue;
-    const auto frame = recv_frame(sock_, config_.io_timeout_ms);
+    auto frame = recv_frame(sock_, config_.io_timeout_ms);
     if (!frame) {
       GS_THROW(IoError, "connection closed while awaiting a "
                         << to_string(want) << " frame");
@@ -56,40 +78,38 @@ Frame Client::await(std::uint64_t id, FrameType want) {
     if (frame->type == FrameType::error_reply) {
       GS_THROW(IoError, "server error: " << decode_text(frame->payload));
     }
-    if (frame->type == want && frame->id == id) return *frame;
+    if (frame->type == want && frame->id == id) return std::move(*frame);
     // Anything else is stale (a reply to an abandoned earlier attempt)
     // or an out-of-band push; drop it and keep waiting.
   }
+} catch (const IoError&) {
+  disconnect();
+  throw;
 }
 
-Frame Client::transact(FrameType type, std::vector<std::byte> payload,
+Frame Client::transact(FrameType type, const std::vector<std::byte>& payload,
                        FrameType want) {
   std::optional<Frame> out;
-  fault::RetryPolicy policy;
-  policy.attempts = config_.retries;
-  policy.backoff_seconds = config_.backoff_ms / 1000.0;
-  fault::with_retries(policy, "rpc.client", [&] {
-    try {
-      ensure_connected();
-      Frame frame;
-      frame.type = type;
-      frame.id = next_id_++;
-      frame.payload = payload;
-      send_frame(sock_, frame, config_.io_timeout_ms);
-      out = await(frame.id, want);
-    } catch (const IoError&) {
-      disconnect();  // the next attempt reconnects from scratch
-      throw;
-    }
-  });
+  fault::with_retries(retry_policy(config_), "rpc.client",
+                      [&] { out = await(post(type, payload), want); });
   return std::move(*out);
 }
 
-svc::Response Client::call(svc::Request request) {
-  const Frame reply = transact(FrameType::request,
-                               encode_request(request), FrameType::response);
+std::uint64_t Client::send(const svc::Request& request) {
+  return post(FrameType::request, encode_request(request));
+}
+
+svc::Response Client::receive(std::uint64_t id) {
+  const Frame reply = await(id, FrameType::response);
   svc::Response response = decode_response(reply.payload);
-  response.id = reply.id;
+  response.id = id;
+  return response;
+}
+
+svc::Response Client::call(svc::Request request) {
+  svc::Response response;
+  fault::with_retries(retry_policy(config_), "rpc.client",
+                      [&] { response = receive(send(request)); });
   last_ = response;
   return response;
 }

@@ -66,6 +66,16 @@ class Client {
   /// The returned Response carries this call's frame id.
   svc::Response call(svc::Request request);
 
+  /// The two halves of one call attempt, without retry, so a caller can
+  /// have requests to several servers in flight at once (the gs::shard
+  /// router's scatter). send() dials if needed, writes the request frame
+  /// and returns its id; receive(id) awaits that id's response, skipping
+  /// stale frames, and stamps the id on it. Both throw gs::IoError on any
+  /// transport problem and drop the connection first, so the next send()
+  /// redials. Neither updates last_response().
+  std::uint64_t send(const svc::Request& request);
+  svc::Response receive(std::uint64_t id);
+
   /// The raw Response of the last successful call (timings, counters).
   const svc::Response& last_response() const { return last_; }
 
@@ -108,11 +118,15 @@ class Client {
   svc::Expected<R> roundtrip(svc::QueryBody body);
 
   void ensure_connected();
-  /// One send + await on the current connection; throws IoError on any
-  /// transport problem (caller retries after reconnect).
-  Frame transact(FrameType type, std::vector<std::byte> payload,
-                 FrameType want);
+  /// Writes one frame (dialing first if needed) and returns its id;
+  /// disconnects and rethrows on IoError.
+  std::uint64_t post(FrameType type, std::vector<std::byte> payload);
+  /// Awaits the `want` frame with this id; disconnects and rethrows on
+  /// IoError.
   Frame await(std::uint64_t id, FrameType want);
+  /// post + await under the retry policy, reconnecting between attempts.
+  Frame transact(FrameType type, const std::vector<std::byte>& payload,
+                 FrameType want);
 
   Endpoint endpoint_;
   ClientConfig config_;

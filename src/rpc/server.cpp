@@ -416,7 +416,16 @@ void Server::conn_main(Conn& conn) {
         pending.clear();
         break;
       }
-      if (!conn.sock.wait_readable(pending.empty() ? 50 : 1)) continue;
+      if (pending.empty()) {
+        if (!conn.sock.wait_readable(50)) continue;
+      } else {
+        // Block on the oldest answer, not on the socket: its completion
+        // wakes this thread at once and goes out on the next flush. A
+        // frame that arrived meanwhile is read with a zero-wait poll.
+        pending.front().future.wait_for(std::chrono::milliseconds(1));
+        flush_ready();
+        if (!conn.sock.wait_readable(0)) continue;
+      }
       const auto frame = recv_frame(conn.sock, config_.io_timeout_ms);
       if (!frame) break;  // peer closed cleanly
       {
@@ -565,11 +574,9 @@ ServerStats Server::stats() const {
   out.inflight = inflight_.load();
   out.rate_rps = rate_.rate(now);
   out.latency_count = latencies_.count();
-  if (!latencies_.empty()) {
-    out.latency_p50 = latencies_.percentile(50.0);
-    out.latency_p95 = latencies_.percentile(95.0);
-    out.latency_p99 = latencies_.percentile(99.0);
-  }
+  out.latency_p50 = latencies_.percentile(50.0);
+  out.latency_p95 = latencies_.percentile(95.0);
+  out.latency_p99 = latencies_.percentile(99.0);
   return out;
 }
 

@@ -220,7 +220,7 @@ class Server {
   // Counters (stats_mu_ guards the non-atomic aggregates).
   mutable std::mutex stats_mu_;
   ServerStats counters_;
-  Samples latencies_;
+  LatencyHistogram latencies_;  ///< seconds, decode -> response sent
   /// Requests admitted (decoded + submitted) whose response frame has
   /// not been sent yet, across all connections. Atomic: incremented on
   /// each connection's worker, read by stats().

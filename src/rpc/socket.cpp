@@ -3,8 +3,10 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -25,6 +27,19 @@ void set_nonblocking(int fd) {
              "fcntl(O_NONBLOCK) failed: " << std::strerror(errno));
 }
 
+/// Disables Nagle on a TCP socket. Every frame leaves in one write, so
+/// coalescing only ever delays it: with Nagle on, a small reply waits
+/// for the peer's delayed ACK (about 40 ms on Linux). IoError on
+/// failure: it concerns one connection, which callers already drop on
+/// transport errors.
+void set_nodelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    GS_THROW(IoError, "setsockopt(TCP_NODELAY) failed: "
+                      << std::strerror(errno));
+  }
+}
+
 /// Overall deadline for one logical operation, translated into per-poll
 /// millisecond budgets. The two documented contracts for a non-positive
 /// timeout differ, so the caller picks: `unbounded` (write_all /
@@ -43,9 +58,11 @@ class Deadline {
   bool expired() const { return has_ && SteadyClock::now() >= end_; }
 
   /// Remaining budget for poll(2): -1 = wait forever, 0 = expired.
+  /// Rounds up: truncating a 0.9 ms remainder to 0 would spin poll(0)
+  /// until the deadline instead of sleeping through it.
   int poll_ms() const {
     if (!has_) return -1;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
         end_ - SteadyClock::now());
     if (left.count() <= 0) return 0;
     return static_cast<int>(left.count());
@@ -68,7 +85,7 @@ bool poll_for(int fd, short events, const Deadline& deadline) {
     if (rc > 0) return true;
     if (rc == 0) {
       if (deadline.expired()) return false;
-      continue;  // poll's ms granularity rounded below the deadline
+      continue;  // woke a hair early: poll again for the remainder
     }
     if (errno == EINTR) continue;
     GS_THROW(IoError, "poll failed: " << std::strerror(errno));
@@ -157,14 +174,38 @@ void Socket::close() {
 
 void Socket::write_all(std::span<const std::byte> data,
                        std::int64_t timeout_ms) {
+  write_all(data, {}, timeout_ms);
+}
+
+void Socket::write_all(std::span<const std::byte> head,
+                       std::span<const std::byte> body,
+                       std::int64_t timeout_ms) {
   // IoError (not a bare requirement failure): racing against a close is
   // a transport condition callers already handle, not a programming bug.
   if (!valid()) GS_THROW(IoError, "write on a closed socket");
   const Deadline deadline(timeout_ms);
+  const std::size_t total = head.size() + body.size();
   std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::send(fd_, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
+  while (off < total) {
+    // What is left of head, then what is left of body.
+    iovec iov[2];
+    std::size_t n_iov = 0;
+    const auto push = [&](std::span<const std::byte> part) {
+      if (part.empty()) return;
+      iov[n_iov].iov_base = const_cast<std::byte*>(part.data());
+      iov[n_iov].iov_len = part.size();
+      ++n_iov;
+    };
+    if (off < head.size()) {
+      push(head.subspan(off));
+      push(body);
+    } else {
+      push(body.subspan(off - head.size()));
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
@@ -173,7 +214,7 @@ void Socket::write_all(std::span<const std::byte> data,
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!poll_for(fd_, POLLOUT, deadline)) {
         GS_THROW(IoError, "socket write timed out after " << timeout_ms
-                          << " ms (" << off << "/" << data.size()
+                          << " ms (" << off << "/" << total
                           << " bytes sent)");
       }
       continue;
@@ -289,7 +330,11 @@ std::optional<Socket> Listener::accept(std::int64_t timeout_ms) {
   const Deadline deadline(timeout_ms, Deadline::ZeroMeans::immediate);
   for (;;) {
     const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      Socket sock(fd);
+      if (!endpoint_.unix_domain) set_nodelay(fd);
+      return sock;
+    }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       if (!poll_for(fd_, POLLIN, deadline)) return std::nullopt;
@@ -311,6 +356,7 @@ Socket dial(const Endpoint& endpoint, std::int64_t timeout_ms) {
     GS_THROW(IoError, "socket() failed: " << std::strerror(errno));
   }
   Socket sock(fd);  // owns + nonblocking from here
+  if (!endpoint.unix_domain) set_nodelay(fd);
 
   int rc = 0;
   if (endpoint.unix_domain) {

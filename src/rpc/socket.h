@@ -34,6 +34,8 @@ struct Endpoint {
 };
 
 /// Move-only owner of a connected stream socket (always nonblocking).
+/// TCP sockets made by dial() and Listener::accept() have TCP_NODELAY
+/// set: callers write whole frames, so Nagle coalescing only adds delay.
 class Socket {
  public:
   Socket() = default;
@@ -53,6 +55,13 @@ class Socket {
   /// Writes the whole buffer or throws gs::IoError (peer reset, or the
   /// overall deadline expired mid-buffer). timeout_ms <= 0 = no deadline.
   void write_all(std::span<const std::byte> data, std::int64_t timeout_ms);
+
+  /// Gather form: writes head then body as one byte stream, in one
+  /// sendmsg(2) when the socket buffer has room, so a frame header and
+  /// its payload leave in one segment without being copied together.
+  /// Same errors and deadline as the single-buffer form.
+  void write_all(std::span<const std::byte> head,
+                 std::span<const std::byte> body, std::int64_t timeout_ms);
 
   /// Reads exactly data.size() bytes. Returns false on a clean EOF before
   /// the first byte (peer closed between messages); throws gs::IoError on

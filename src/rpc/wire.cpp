@@ -659,11 +659,17 @@ std::size_t send_frame(Socket& socket, const Frame& frame,
   header.u64(frame.id);
   header.u32(static_cast<std::uint32_t>(frame.payload.size()));
   header.u32(crc);
-  socket.write_all(header.bytes(), timeout_ms);
+  std::span<const std::byte> head = header.bytes();
 
-  // A `fail` injected here lands between header and payload: the peer
-  // sees a torn frame (header promising bytes that never arrive).
-  injector.check("rpc.write");
+  // The frame normally leaves in one gather write. Only an injection
+  // armed at "rpc.write" splits it: the header goes out alone, then the
+  // injection acts, so a `fail` leaves the peer a torn frame (a header
+  // promising bytes that never arrive).
+  if (const auto injection = injector.consume("rpc.write")) {
+    socket.write_all(head, timeout_ms);
+    head = {};
+    injector.act("rpc.write", *injection);
+  }
 
   std::span<const std::byte> body(frame.payload);
   std::vector<std::byte> corrupted;
@@ -676,7 +682,7 @@ std::size_t send_frame(Socket& socket, const Frame& frame,
       injector.act("rpc.frame_corrupt", *injection);
     }
   }
-  if (!body.empty()) socket.write_all(body, timeout_ms);
+  socket.write_all(head, body, timeout_ms);
   return kHeaderBytes + body.size();
 }
 

@@ -26,9 +26,10 @@
 // fields within a version; incompatible changes bump `version`.
 //
 // Fault sites: "rpc.read" (before each frame receive), "rpc.write"
-// (between header and payload send — a `fail` here leaves a torn frame
-// on the wire), "rpc.frame_corrupt" (flips a payload byte after the CRC
-// is computed, so the receiver must detect it).
+// (once per frame send; a frame normally leaves in one gather write, but
+// one this site fires on sends its header first, so a `fail` here leaves
+// a torn frame on the wire), "rpc.frame_corrupt" (flips a payload byte
+// after the CRC is computed, so the receiver must detect it).
 #pragma once
 
 #include <cstddef>
@@ -177,8 +178,9 @@ std::uint64_t decode_u64(std::span<const std::byte> payload);
 
 // ---- framed socket I/O ---------------------------------------------------
 
-/// Sends one frame (header + CRC'd payload) within `timeout_ms`.
-/// Returns bytes put on the wire. Fault sites: "rpc.write" (torn frame),
+/// Sends one frame (header + CRC'd payload) within `timeout_ms`, as one
+/// gather write of header and payload (no copy joins them). Returns
+/// bytes put on the wire. Fault sites: "rpc.write" (torn frame),
 /// "rpc.frame_corrupt" (payload byte flip the receiver must catch).
 std::size_t send_frame(Socket& socket, const Frame& frame,
                        std::int64_t timeout_ms);

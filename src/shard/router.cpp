@@ -278,6 +278,18 @@ svc::Response Router::subcall(ShardState& st, const svc::Request& sub) {
   return out;
 }
 
+svc::Request Router::sub_request(const EpochState& ep,
+                                 const svc::Request& base,
+                                 const svc::QueryBody& body,
+                                 const std::string& act_as) {
+  svc::Request sub;
+  sub.body = body;
+  sub.timeout_seconds = base.timeout_seconds;
+  sub.shard =
+      svc::ShardSelector{ep.map->epoch(), ep.map->ring_crc(), act_as};
+  return sub;
+}
+
 Router::SubResult Router::scatter_one(EpochState& ep,
                                       const svc::Request& base,
                                       const svc::QueryBody& body,
@@ -285,11 +297,7 @@ Router::SubResult Router::scatter_one(EpochState& ep,
   SubResult result;
   result.act_as = act_as;
 
-  svc::Request sub;
-  sub.body = body;
-  sub.timeout_seconds = base.timeout_seconds;
-  sub.shard =
-      svc::ShardSelector{ep.map->epoch(), ep.map->ring_crc(), act_as};
+  const svc::Request sub = sub_request(ep, base, body, act_as);
 
   // Dead-marked daemons are skipped on the first pass (no point eating
   // their connect timeouts); if health left us nothing, try everyone —
@@ -337,17 +345,78 @@ Router::SubResult Router::scatter_one(EpochState& ep,
 std::vector<Router::SubResult> Router::scatter(EpochState& ep,
                                                const svc::Request& base,
                                                const svc::QueryBody& body) {
-  std::vector<std::future<SubResult>> futures;
-  futures.reserve(ep.map->size());
-  for (const auto& info : ep.map->shards()) {
-    futures.push_back(std::async(std::launch::async,
-                                 [this, &ep, &base, &body, id = info.id] {
-                                   return scatter_one(ep, base, body, id);
-                                 }));
+  // One attempt per live shard, pipelined on this thread: every
+  // sub-query goes out on a leased connection before the first reply is
+  // awaited, so the shards compute concurrently without a thread each.
+  // Whatever that attempt cannot settle goes through scatter_one.
+  struct InFlight {
+    ShardState* st = nullptr;
+    std::optional<rpc::ClientPool::Lease> lease;  ///< set while awaited
+    std::uint64_t id = 0;
+    std::chrono::steady_clock::time_point t0;
+    /// Drops the connection (if one was leased) as a failed call.
+    void fail() {
+      if (!lease.has_value()) return;
+      lease->discard();
+      lease.reset();
+      std::lock_guard<std::mutex> lock(st->mu);
+      ++st->calls;
+      ++st->errors;
+    }
+    // Unwinding with a reply still unread: the connection must not go
+    // back to the pool.
+    ~InFlight() {
+      if (lease.has_value()) lease->discard();
+    }
+  };
+  const auto& shards = ep.map->shards();
+  std::vector<SubResult> results(shards.size());
+  std::vector<InFlight> sent(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string& id = shards[i].id;
+    results[i].act_as = id;
+    if (!ep.health->alive(id)) continue;  // scatter_one picks a replica
+    InFlight& f = sent[i];
+    f.st = &state(ep, id);
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      ++stats_.subqueries;
+    }
+    try {
+      fault::Injector::instance().check(kRouteSite);
+      f.lease.emplace(f.st->pool->acquire());
+      f.t0 = std::chrono::steady_clock::now();
+      f.id = (*f.lease)->send(sub_request(ep, base, body, id));
+    } catch (const IoError&) {
+      f.fail();
+    }
   }
-  std::vector<SubResult> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    InFlight& f = sent[i];
+    if (f.lease.has_value()) {
+      try {
+        svc::Response response = (*f.lease)->receive(f.id);
+        f.lease.reset();  // answered: the connection goes back to the pool
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - f.t0)
+                                   .count();
+        {
+          std::lock_guard<std::mutex> lock(f.st->mu);
+          ++f.st->calls;
+          f.st->latencies.add(seconds);
+        }
+        ep.health->record_success(results[i].act_as);
+        if (response.status.ok() ||
+            response.status.code == svc::StatusCode::bad_request) {
+          results[i].response = std::move(response);
+          continue;
+        }
+      } catch (const IoError&) {
+        f.fail();
+      }
+    }
+    results[i] = scatter_one(ep, base, body, results[i].act_as);
+  }
   return results;
 }
 
@@ -756,12 +825,9 @@ json::Value Router::stats_json() const {
       s["errors"] = json::Value(static_cast<std::int64_t>(st->errors));
       s["latency_count"] =
           json::Value(static_cast<std::int64_t>(st->latencies.count()));
-      s["latency_p50"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(50.0));
-      s["latency_p95"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(95.0));
-      s["latency_p99"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(99.0));
+      s["latency_p50"] = json::Value(st->latencies.percentile(50.0));
+      s["latency_p95"] = json::Value(st->latencies.percentile(95.0));
+      s["latency_p99"] = json::Value(st->latencies.percentile(99.0));
     }
     const auto pool_stats = st->pool->stats();
     json::Object pool;
@@ -772,7 +838,7 @@ json::Value Router::stats_json() const {
         json::Value(static_cast<std::int64_t>(pool_stats.discarded));
     pool["idle"] = json::Value(static_cast<std::int64_t>(pool_stats.idle));
     s["pool"] = json::Value(std::move(pool));
-    shard_arr.push_back(json::Value(std::move(s)));
+    shard_arr.emplace_back(std::move(s));
   }
   router["shards"] = json::Value(std::move(shard_arr));
 

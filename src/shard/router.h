@@ -69,7 +69,7 @@ namespace gs::shard {
 
 struct RouterConfig {
   /// Scatter-gather worker threads (one client query each; the scatter
-  /// itself fans out to every shard concurrently).
+  /// pipelines its sub-queries to every shard from that same thread).
   std::size_t workers = 4;
   /// Admission-queue bound; 0 disables admission control.
   std::size_t queue_capacity = 64;
@@ -151,7 +151,7 @@ class Router : public rpc::Handler {
     ShardInfo info;
     std::unique_ptr<rpc::ClientPool> pool;
     mutable std::mutex mu;  ///< guards the three members below
-    Samples latencies;      ///< seconds per successful sub-call
+    LatencyHistogram latencies;  ///< seconds per successful sub-call
     std::uint64_t calls = 0;
     std::uint64_t errors = 0;
   };
@@ -205,9 +205,18 @@ class Router : public rpc::Handler {
 
   svc::Response route(const svc::Request& request);
   /// Scatters `body` (with a ShardSelector per shard) to every shard of
-  /// the pinned epoch concurrently, gathering in map order.
+  /// the pinned epoch, gathering in map order. One pipelined attempt per
+  /// live shard: every sub-query is sent on a pooled connection before
+  /// any reply is awaited, all from the calling worker thread. A shard
+  /// that is dead-marked, fails that attempt on the transport, or
+  /// refuses it (any non-ok but bad_request) goes through scatter_one.
   std::vector<SubResult> scatter(EpochState& ep, const svc::Request& base,
                                  const svc::QueryBody& body);
+  /// The sub-query `act_as` answers for `body` under the pinned epoch.
+  static svc::Request sub_request(const EpochState& ep,
+                                  const svc::Request& base,
+                                  const svc::QueryBody& body,
+                                  const std::string& act_as);
   /// One shard's sub-query through its failover candidates.
   SubResult scatter_one(EpochState& ep, const svc::Request& base,
                         const svc::QueryBody& body,

@@ -693,12 +693,10 @@ MetricsSnapshot Service::metrics() const {
     m.exec_seconds_total = exec_seconds_total_;
     m.by_verb_outcome = by_verb_outcome_;
     m.latency_count = ok_latencies_.count();
-    if (!ok_latencies_.empty()) {
-      m.latency_mean = ok_latencies_.mean();
-      m.latency_p50 = ok_latencies_.percentile(50.0);
-      m.latency_p95 = ok_latencies_.percentile(95.0);
-      m.latency_p99 = ok_latencies_.percentile(99.0);
-    }
+    m.latency_mean = ok_latencies_.mean();
+    m.latency_p50 = ok_latencies_.percentile(50.0);
+    m.latency_p95 = ok_latencies_.percentile(95.0);
+    m.latency_p99 = ok_latencies_.percentile(99.0);
     for (const auto& [name, tc] : tenants_) {
       TenantMetrics tm;
       tm.submitted = tc.submitted;
@@ -706,12 +704,10 @@ MetricsSnapshot Service::metrics() const {
       tm.errors = tc.errors;
       tm.slo_violations = tc.slo_violations;
       tm.latency_count = tc.latencies.count();
-      if (!tc.latencies.empty()) {
-        tm.latency_mean = tc.latencies.mean();
-        tm.latency_p50 = tc.latencies.percentile(50.0);
-        tm.latency_p95 = tc.latencies.percentile(95.0);
-        tm.latency_p99 = tc.latencies.percentile(99.0);
-      }
+      tm.latency_mean = tc.latencies.mean();
+      tm.latency_p50 = tc.latencies.percentile(50.0);
+      tm.latency_p95 = tc.latencies.percentile(95.0);
+      tm.latency_p99 = tc.latencies.percentile(99.0);
       m.tenants[name] = tm;
     }
   }

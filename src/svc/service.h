@@ -317,13 +317,13 @@ class Service {
   double exec_seconds_total_ = 0.0;
   std::array<std::array<std::uint64_t, kNumStatusCodes>, kNumVerbs>
       by_verb_outcome_{};
-  Samples ok_latencies_;
+  LatencyHistogram ok_latencies_;
   struct TenantCounters {
     std::uint64_t submitted = 0;
     std::uint64_t completed_ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t slo_violations = 0;
-    Samples latencies;
+    LatencyHistogram latencies;
   };
   std::map<std::string, TenantCounters> tenants_;
 };

@@ -136,11 +136,9 @@ std::map<std::string, TenantServingStats> Fleet::serving_stats() const {
     s.errors = tc.errors;
     s.slo_violations = tc.slo_violations;
     s.latency_count = tc.latencies.count();
-    if (!tc.latencies.empty()) {
-      s.latency_p50 = tc.latencies.percentile(50.0);
-      s.latency_p95 = tc.latencies.percentile(95.0);
-      s.latency_p99 = tc.latencies.percentile(99.0);
-    }
+    s.latency_p50 = tc.latencies.percentile(50.0);
+    s.latency_p95 = tc.latencies.percentile(95.0);
+    s.latency_p99 = tc.latencies.percentile(99.0);
     out[name] = s;
   }
   return out;

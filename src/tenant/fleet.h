@@ -127,7 +127,7 @@ class Fleet {
     std::uint64_t ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t slo_violations = 0;
-    Samples latencies;
+    LatencyHistogram latencies;
   };
   mutable std::mutex stats_mu_;
   std::map<std::string, TenantCounters> tenant_stats_;

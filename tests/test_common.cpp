@@ -2,6 +2,8 @@
 // histograms, formatting, clocks, error machinery.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -16,6 +18,7 @@
 namespace {
 
 using gs::Histogram;
+using gs::LatencyHistogram;
 using gs::Rng;
 using gs::RunningStats;
 using gs::Samples;
@@ -215,6 +218,82 @@ TEST(Samples, PercentileOutOfRangeThrows) {
   s.add(1.0);
   EXPECT_THROW(s.percentile(-1), gs::Error);
   EXPECT_THROW(s.percentile(101), gs::Error);
+}
+
+TEST(Samples, PercentilesSeeSamplesAddedAfterAQuery) {
+  // A query must not freeze the answer: the sort cache is stale once a
+  // later add() lands.
+  Samples s;
+  s.add(1.0);
+  EXPECT_EQ(s.percentile(99), 1.0);
+  for (int i = 0; i < 1000; ++i) s.add(100.0);
+  EXPECT_EQ(s.percentile(99), 100.0);
+  EXPECT_EQ(s.max(), 100.0);
+}
+
+// ---------------------------------------------------------- latency hist
+
+TEST(LatencyHistogram, PercentilesWithinBucketErrorOfExact) {
+  Rng r(31);
+  Samples exact;
+  LatencyHistogram h;
+  for (int i = 0; i < 100000; ++i) {
+    const double x = r.lognormal(std::log(1e-3), 1.0);  // ~1 ms, wide tail
+    exact.add(x);
+    h.add(x);
+  }
+  for (const double p : {50.0, 95.0, 99.0}) {
+    const double want = exact.percentile(p);
+    EXPECT_NEAR(h.percentile(p), want,
+                want * LatencyHistogram::kRelativeError)
+        << "p" << p;
+  }
+  EXPECT_EQ(h.count(), exact.count());
+  EXPECT_EQ(h.mean(), exact.mean()) << "mean is exact, not bucketed";
+  EXPECT_EQ(h.percentile(0), exact.min());
+  EXPECT_EQ(h.percentile(100), exact.max());
+}
+
+TEST(LatencyHistogram, EmptyAndSingleValue) {
+  LatencyHistogram h;
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.percentile(99), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
+  h.add(0.0123);
+  EXPECT_EQ(h.count(), 1u);
+  // Clamped to the exact min/max, one sample answers itself exactly.
+  EXPECT_EQ(h.percentile(0), 0.0123);
+  EXPECT_EQ(h.percentile(50), 0.0123);
+  EXPECT_EQ(h.percentile(100), 0.0123);
+  EXPECT_THROW(h.percentile(-1), gs::Error);
+  EXPECT_THROW(h.percentile(101), gs::Error);
+}
+
+TEST(LatencyHistogram, PercentilesSeeSamplesAddedAfterAQuery) {
+  LatencyHistogram h;
+  h.add(1.0);
+  EXPECT_EQ(h.percentile(99), 1.0);
+  for (int i = 0; i < 1000; ++i) h.add(100.0);
+  EXPECT_EQ(h.percentile(99), 100.0);
+  EXPECT_EQ(h.percentile(100), 100.0);
+}
+
+TEST(LatencyHistogram, OutOfRangeValuesLandInTheEdgeBuckets) {
+  LatencyHistogram h;
+  for (const double x : {-1.0, 0.0, 1e-12, 5e3}) h.add(x);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.percentile(0), -1.0);
+  EXPECT_EQ(h.percentile(100), 5e3);
+}
+
+TEST(LatencyHistogram, MemoryIsFixedAcrossAMillionAdds) {
+  EXPECT_LE(sizeof(LatencyHistogram), 6u * 1024u);
+  LatencyHistogram h;
+  const std::size_t heap_before = ::mallinfo2().uordblks;
+  for (int i = 0; i < 1000000; ++i) h.add(1e-6 * (1 + i % 5000));
+  EXPECT_EQ(::mallinfo2().uordblks, heap_before) << "add() allocated";
+  EXPECT_EQ(h.count(), 1000000u);
+  EXPECT_GT(h.percentile(99), h.percentile(50));
 }
 
 TEST(Histogram, BinningAndClamping) {

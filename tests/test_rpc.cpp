@@ -8,9 +8,11 @@
 // slow consumers, and fail producers cleanly at shutdown.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -289,6 +291,21 @@ TEST(RpcSocket, ZeroTimeoutWaitReadablePollsWithoutBlocking) {
   EXPECT_TRUE(pair.b.wait_readable(0));  // pending data visible at once
 }
 
+TEST(RpcSocket, IdleWaitReadableSleepsInsteadOfSpinning) {
+  // A 1 ms wait must sleep in poll(2), not spin poll(0) until the
+  // deadline: 200 of them should cost next to no CPU.
+  SocketPair pair;
+  const auto cpu_seconds = [] {
+    rusage u{};
+    ::getrusage(RUSAGE_THREAD, &u);
+    return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec);
+  };
+  const double before = cpu_seconds();
+  for (int i = 0; i < 200; ++i) EXPECT_FALSE(pair.b.wait_readable(1));
+  EXPECT_LT(cpu_seconds() - before, 0.050);
+}
+
 TEST(RpcSocket, ClosedSocketOperationsThrowIoError) {
   SocketPair pair;
   pair.a.close();
@@ -338,6 +355,27 @@ TEST(RpcServer, TcpAnswersAreBitwiseIdentical) {
 
 TEST(RpcServer, UnixSocketAnswersAreBitwiseIdentical) {
   expect_bitwise_identical("unix:" + temp_path("rpc_eq.sock"));
+}
+
+TEST(RpcServer, TcpRoundTripIsFarBelowTheDelayedAckFloor) {
+  // Nagle plus the peer's delayed ACK held every small reply for about
+  // 40 ms, and a 1 ms poll tick delayed it further. A loopback query on
+  // a tiny dataset computes in microseconds.
+  gs::svc::Service service(dataset());
+  Server server(service);
+  Client remote(server.endpoint());
+  ASSERT_TRUE(remote.field_stats("U", 0).ok());  // dial outside the timing
+  std::vector<double> seconds;
+  for (int i = 0; i < 50; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(remote.field_stats(i % 2 ? "U" : "V", i % kSteps).ok());
+    seconds.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+  }
+  std::nth_element(seconds.begin(), seconds.begin() + 25, seconds.end());
+  EXPECT_LT(seconds[25], 0.005) << "median round-trip";
+  server.shutdown();
 }
 
 TEST(RpcServer, ErrorStatusesCrossTheWire) {
