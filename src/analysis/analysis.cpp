@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -18,6 +19,31 @@ namespace {
 /// floating-point rounding. Larger inputs use the deterministic tile tree
 /// (same tiling and combine order for ANY thread count).
 constexpr std::int64_t kAnalysisGrain = 32768;
+
+std::int64_t total_cells(Parts parts) {
+  std::int64_t n = 0;
+  for (const auto& p : parts) n += static_cast<std::int64_t>(p.size());
+  return n;
+}
+
+/// Calls fn on each nonempty piece of [begin, end) of the parts'
+/// concatenation, in order.
+template <typename Fn>
+void for_each_piece(Parts parts, std::int64_t begin, std::int64_t end,
+                    Fn&& fn) {
+  std::int64_t base = 0;
+  for (const auto& p : parts) {
+    if (base >= end) break;
+    const auto size = static_cast<std::int64_t>(p.size());
+    const std::int64_t lo = std::max(begin, base);
+    const std::int64_t hi = std::min(end, base + size);
+    if (lo < hi) {
+      fn(p.subspan(static_cast<std::size_t>(lo - base),
+                   static_cast<std::size_t>(hi - lo)));
+    }
+    base += size;
+  }
+}
 
 }  // namespace
 
@@ -99,23 +125,21 @@ Slice2D slice_from_reader(const bp::Reader& reader, const std::string& name,
   return extract_slice(plane, sel.count, axis, 0);
 }
 
-ExactStats exact_stats(std::span<const double> data) {
-  // Deliberately scalar: ExactSum folds each addend into integer
-  // superaccumulator limbs with per-element carries — an inherently
-  // sequential dependence chain with no elementwise IEEE analog, so
-  // there is no gs::simd formulation that keeps the exactness contract.
-  // The partition-independent merge tree is the parallel axis instead.
+ExactStats exact_stats(Parts parts) {
+  // Each tile sums its cells with ExactStats::add_many's bucketed kernel.
+  // The sums are exact integers, so neither the tiling nor the order in
+  // which tiles merge can change a bit of the result.
   par::RegionOptions opts;
   opts.label = "stats";
   opts.grain = kAnalysisGrain;
-  if (data.empty()) return ExactStats{};
   return par::parallel_reduce<ExactStats>(
-      static_cast<std::int64_t>(data.size()),
+      total_cells(parts),
       [&](std::int64_t begin, std::int64_t end) {
         ExactStats tile;
-        for (std::int64_t i = begin; i < end; ++i) {
-          tile.add(data[static_cast<std::size_t>(i)]);
-        }
+        for_each_piece(parts, begin, end,
+                       [&](std::span<const double> piece) {
+                         tile.add_many(piece);
+                       });
         return tile;
       },
       [](ExactStats a, const ExactStats& b) {
@@ -123,6 +147,10 @@ ExactStats exact_stats(std::span<const double> data) {
         return a;
       },
       opts);
+}
+
+ExactStats exact_stats(std::span<const double> data) {
+  return exact_stats(Parts(&data, 1));
 }
 
 FieldStats stats_from_exact(const ExactStats& es) {
@@ -149,30 +177,41 @@ json::Object stats_to_json(const FieldStats& stats) {
   return o;
 }
 
-Histogram field_histogram(std::span<const double> data, std::size_t bins) {
-  GS_REQUIRE(!data.empty(), "histogram of empty field");
-  const auto n = static_cast<std::int64_t>(data.size());
+Histogram field_histogram(Parts parts, std::size_t bins) {
+  const std::int64_t n = total_cells(parts);
+  GS_REQUIRE(n > 0, "histogram of empty field");
 
   // Pass 1: min/max reduction (exact — order-independent), vectorized
-  // per tile with W-lane accumulators (simd::minmax_run). min/max over
+  // per piece with W-lane accumulators (simd::minmax_run). min/max over
   // field data (finite, no NaN) is associative/commutative, so the lane
   // grouping cannot change the result.
   using simd::MinMax;
   par::RegionOptions opts;
   opts.label = "histogram";
   opts.grain = kAnalysisGrain;
+  const auto merge = [](const MinMax& a, const MinMax& b) {
+    return MinMax{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+  };
   const MinMax mm = par::parallel_reduce<MinMax>(
       n,
       [&](std::int64_t begin, std::int64_t end) {
-        return simd::minmax_run<simd::kNativeWidth>(data.data() + begin,
-                                                    end - begin);
+        std::optional<MinMax> tile;
+        for_each_piece(parts, begin, end, [&](std::span<const double> p) {
+          const MinMax m = simd::minmax_run<simd::kReduceWidth>(
+              p.data(), static_cast<std::int64_t>(p.size()));
+          tile = tile ? merge(*tile, m) : m;
+        });
+        return *tile;
       },
-      [](const MinMax& a, const MinMax& b) {
-        return MinMax{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-      },
-      opts);
+      merge, opts);
+  GS_REQUIRE(std::isfinite(mm.lo) && std::isfinite(mm.hi),
+             "histogram of a field with non-finite values");
   const auto [lo, hi] = histogram_range(mm.lo, mm.hi);
-  return field_histogram(data, bins, lo, hi);
+  return field_histogram(parts, bins, lo, hi);
+}
+
+Histogram field_histogram(std::span<const double> data, std::size_t bins) {
+  return field_histogram(Parts(&data, 1), bins);
 }
 
 std::pair<double, double> histogram_range(double lo, double hi) {
@@ -180,9 +219,8 @@ std::pair<double, double> histogram_range(double lo, double hi) {
   return {lo, hi};
 }
 
-Histogram field_histogram(std::span<const double> data, std::size_t bins,
-                          double lo, double hi) {
-  GS_REQUIRE(!data.empty(), "histogram of empty field");
+Histogram field_histogram(Parts parts, std::size_t bins, double lo,
+                          double hi) {
   par::RegionOptions opts;
   opts.label = "histogram";
   opts.grain = kAnalysisGrain;
@@ -190,13 +228,14 @@ Histogram field_histogram(std::span<const double> data, std::size_t bins,
   // counts commute), so any tiling/block/shard partitioning of the same
   // cells over the same [lo, hi) range yields identical counts. The bin
   // computation inside add_many is vectorized and bitwise-identical to
-  // per-element add().
+  // per-element add(). No cells give all-zero counts.
   return par::parallel_reduce<Histogram>(
-      static_cast<std::int64_t>(data.size()),
+      total_cells(parts),
       [&, lo, hi, bins](std::int64_t begin, std::int64_t end) {
         Histogram tile(lo, hi, bins);
-        tile.add_many(data.data() + static_cast<std::size_t>(begin),
-                      static_cast<std::size_t>(end - begin));
+        for_each_piece(parts, begin, end, [&](std::span<const double> p) {
+          tile.add_many(p.data(), p.size());
+        });
         return tile;
       },
       [](Histogram a, const Histogram& b) {
@@ -204,6 +243,11 @@ Histogram field_histogram(std::span<const double> data, std::size_t bins,
         return a;
       },
       opts);
+}
+
+Histogram field_histogram(std::span<const double> data, std::size_t bins,
+                          double lo, double hi) {
+  return field_histogram(Parts(&data, 1), bins, lo, hi);
 }
 
 void write_pgm(const Slice2D& slice, const std::string& path) {

@@ -54,10 +54,17 @@ struct FieldStats {
 };
 FieldStats compute_stats(std::span<const double> data);
 
+/// A field given as several parts (e.g. the mapped blocks of one step,
+/// in any order). The reductions below tile the parts' concatenation in
+/// one parallel region; all three are exact, so the answer depends only
+/// on the multiset of cells, never on how it is split.
+using Parts = std::span<const std::span<const double>>;
+
 /// The exact accumulator behind compute_stats: partition-independent, so
 /// partial accumulators over any disjoint cover of the data (thread
 /// tiles, BP blocks, shards) merge to the bitwise-same FieldStats. The
 /// gs::shard router merges these across daemons.
+ExactStats exact_stats(Parts parts);
 ExactStats exact_stats(std::span<const double> data);
 FieldStats stats_from_exact(const ExactStats& stats);
 
@@ -66,11 +73,15 @@ FieldStats stats_from_exact(const ExactStats& stats);
 /// emit byte-identical statistics for the same dataset.
 json::Object stats_to_json(const FieldStats& stats);
 
-/// Histogram of field values over [min, max] of the data.
+/// Histogram of field values over [min, max] of the data (nonempty,
+/// finite).
+Histogram field_histogram(Parts parts, std::size_t bins);
 Histogram field_histogram(std::span<const double> data, std::size_t bins);
 
 /// Histogram over an explicit [lo, hi) range (shard partials must bin
 /// against the globally-agreed range, not their local extrema).
+Histogram field_histogram(Parts parts, std::size_t bins, double lo,
+                          double hi);
 Histogram field_histogram(std::span<const double> data, std::size_t bins,
                           double lo, double hi);
 

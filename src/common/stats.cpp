@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -73,22 +76,26 @@ void ExactSum::add(double x) {
   if (x == 0.0) return;
 
   // Decompose x = sign * m * 2^e with integer m < 2^53: biased exponent 0
-  // is subnormal (m = frac, e = -1074); otherwise the implicit leading
-  // bit joins the fraction and e = E - 1075.
+  // is subnormal (m = frac); otherwise the implicit leading bit joins the
+  // fraction.
   const auto bits = std::bit_cast<std::uint64_t>(x);
-  const bool negative = (bits >> 63) != 0;
-  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+  const auto biased = static_cast<unsigned>((bits >> 52) & 0x7ff);
   const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
-  const std::uint64_t m = biased == 0 ? frac : (frac | (std::uint64_t{1} << 52));
-  const int e = biased == 0 ? -1074 : biased - 1075;
+  add_scaled((bits >> 63) != 0, biased,
+             biased == 0 ? frac : (frac | (std::uint64_t{1} << 52)));
+}
 
-  // Bit 0 of limb 0 is 2^-1074, so m lands at bit offset e + 1074.
-  const int offset = e + 1074;
-  const auto limb = static_cast<std::size_t>(offset / 64);
-  const int shift = offset % 64;
+void ExactSum::add_scaled(bool negative, unsigned biased_exponent,
+                          std::uint64_t sum) {
+  // Bit 0 of limb 0 is 2^-1074, the weight of a significand's last bit
+  // at biased exponents 0 (subnormal, e = -1074) and 1 (e = 1 - 1075);
+  // each step up in exponent moves it one bit higher.
+  const unsigned offset = biased_exponent == 0 ? 0 : biased_exponent - 1;
+  const std::size_t limb = offset / 64;
+  const unsigned shift = offset % 64;
   Limbs& acc = negative ? neg_ : pos_;
-  add_limb(acc, limb, m << shift);
-  if (shift != 0) add_limb(acc, limb + 1, m >> (64 - shift));
+  add_limb(acc, limb, sum << shift);
+  if (shift != 0) add_limb(acc, limb + 1, sum >> (64 - shift));
 }
 
 void ExactSum::merge(const ExactSum& other) {
@@ -173,6 +180,110 @@ void ExactStats::add(double x) {
   ++n_;
   sum_.add(x);
   sumsq_.add(x * x);
+}
+
+namespace {
+
+/// add_many's scratch: one bucket per (sign, biased exponent), the top 12
+/// bits of a double, for the values, and per biased exponent for their
+/// squares, which are never negative. Every flush leaves the buckets
+/// zero, so each thread reuses one set without clearing it.
+struct ExactBuckets {
+  std::array<std::uint64_t, 4096> sum{};
+  std::array<std::uint64_t, 2048> sumsq{};
+};
+
+/// A bucket takes at most this many significands (each < 2^53) between
+/// flushes, so it stays below 2^64.
+constexpr std::size_t kFlushEvery = 2048;
+
+/// add_many's first pass, over n > 0 values: lane-wise extrema, or
+/// nullopt unless x*x*0 stayed 0 for every x, which fails exactly for
+/// the values add() rejects (NaN, infinities, squares that overflow).
+std::optional<simd::MinMax> extrema(std::span<const double> xs) {
+  constexpr int W = simd::kReduceWidth;
+  using P = simd::pack<W>;
+  simd::MinMax mm{xs[0], xs[0]};
+  bool finite = true;
+  std::size_t i = 0;
+  if (xs.size() >= W) {
+    P lo = P::load(xs.data());
+    P hi = lo;
+    P bad = P::broadcast(0.0);
+    for (; i + W <= xs.size(); i += W) {
+      const P x = P::load(xs.data() + i);
+      lo = min(lo, x);
+      hi = max(hi, x);
+      bad = bad + x * x * 0.0;
+    }
+    for (int l = 0; l < W; ++l) {
+      mm.lo = std::min(mm.lo, lo.lane(l));
+      mm.hi = std::max(mm.hi, hi.lane(l));
+      finite &= bad.lane(l) == 0.0;
+    }
+  }
+  for (; i < xs.size(); ++i) {
+    mm.lo = std::min(mm.lo, xs[i]);
+    mm.hi = std::max(mm.hi, xs[i]);
+    finite &= xs[i] * xs[i] * 0.0 == 0.0;
+  }
+  if (!finite) return std::nullopt;
+  return mm;
+}
+
+}  // namespace
+
+void ExactStats::add_many(std::span<const double> xs) {
+  if (xs.empty()) return;
+  const std::optional<simd::MinMax> mm = extrema(xs);
+  GS_REQUIRE(mm.has_value(),
+             "ExactStats requires finite values with finite squares");
+
+  // Lane-wise extrema agree with add()'s in-order ones except in which
+  // zero (+0 or -0) they keep; add() keeps the first, so take the span's
+  // first zero when the extremum is zero.
+  const auto first_zero = [&] { return *std::find(xs.begin(), xs.end(), 0.0); };
+  const double lo = mm->lo == 0.0 ? first_zero() : mm->lo;
+  const double hi = mm->hi == 0.0 ? first_zero() : mm->hi;
+  min_ = n_ == 0 ? lo : std::min(min_, lo);
+  max_ = n_ == 0 ? hi : std::max(max_, hi);
+  n_ += xs.size();
+
+  thread_local const auto scratch = std::make_unique<ExactBuckets>();
+  ExactBuckets& b = *scratch;
+  constexpr std::uint64_t kFrac = (std::uint64_t{1} << 52) - 1;
+  const auto significand = [](std::uint64_t bits) {
+    // Zeros add 0; subnormals have no implicit bit.
+    return (bits & kFrac) |
+           (static_cast<std::uint64_t>((bits & ~(std::uint64_t{1} << 63)) >
+                                       kFrac)
+            << 52);
+  };
+  // Folds the nonzero buckets into `acc` and zeroes them, skipping
+  // all-zero runs of 8 with one test.
+  const auto flush = [](std::span<std::uint64_t> buckets, ExactSum& acc) {
+    for (unsigned base = 0; base < buckets.size(); base += 8) {
+      std::uint64_t any = 0;
+      for (unsigned k = base; k < base + 8; ++k) any |= buckets[k];
+      if (any == 0) continue;
+      for (unsigned k = base; k < base + 8; ++k) {
+        if (buckets[k] == 0) continue;
+        acc.add_scaled(k >= 2048, k & 0x7ff, buckets[k]);
+        buckets[k] = 0;
+      }
+    }
+  };
+  for (std::size_t start = 0; start < xs.size(); start += kFlushEvery) {
+    const std::size_t end = std::min(xs.size(), start + kFlushEvery);
+    for (std::size_t j = start; j < end; ++j) {
+      const auto x = std::bit_cast<std::uint64_t>(xs[j]);
+      const auto q = std::bit_cast<std::uint64_t>(xs[j] * xs[j]);
+      b.sum[x >> 52] += significand(x);
+      b.sumsq[q >> 52] += significand(q);  // finite x * x has no sign bit
+    }
+    flush(b.sum, sum_);
+    flush(b.sumsq, sumsq_);
+  }
 }
 
 void ExactStats::merge(const ExactStats& other) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,14 @@ class ExactSum {
   static ExactSum from_limbs(const Limbs& pos, const Limbs& neg);
 
  private:
+  friend class ExactStats;
+
+  /// Adds sum * 2^e exactly, where e is the exponent of the least
+  /// significant significand bit of a double with this sign and biased
+  /// exponent. add() passes one significand; ExactStats::add_many passes
+  /// a bucket holding up to 2048 of them (< 2^64).
+  void add_scaled(bool negative, unsigned biased_exponent, std::uint64_t sum);
+
   Limbs pos_{};
   Limbs neg_{};
 };
@@ -98,6 +107,11 @@ class ExactSum {
 class ExactStats {
  public:
   void add(double x);
+  /// The same limbs, count, min and max as add() over xs in order, about
+  /// 5x faster: significands are summed per (sign, biased exponent) into
+  /// uint64 buckets and folded into the limbs every 2048 values. The
+  /// finiteness check covers the whole span before anything accumulates.
+  void add_many(std::span<const double> xs);
   void merge(const ExactStats& other);
 
   std::uint64_t count() const { return n_; }

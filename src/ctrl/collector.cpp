@@ -104,7 +104,7 @@ json::Value ClusterView::to_json() const {
     s["rate_rps"] = json::Value(e.rate_rps);
     s["p99"] = json::Value(e.p99);
     s["error_rate"] = json::Value(e.error_rate);
-    arr.push_back(json::Value(std::move(s)));
+    arr.emplace_back(std::move(s));
   }
   obj["estimates"] = json::Value(std::move(arr));
   return json::Value(std::move(obj));

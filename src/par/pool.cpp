@@ -71,7 +71,15 @@ void ThreadPool::work_on(Region& r) {
   for (;;) {
     const std::size_t i = r.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= r.n_tasks) break;
-    (*r.fn)(i);
+    if (!r.failed.load(std::memory_order_relaxed)) {
+      try {
+        (*r.fn)(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lk(mu_);
+        if (!r.error) r.error = std::current_exception();
+        r.failed.store(true, std::memory_order_relaxed);
+      }
+    }
     if (r.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task done: wake the region owner. Lock so the notify cannot
       // slip between its predicate check and its wait.
@@ -88,10 +96,14 @@ void ThreadPool::run(std::size_t n_tasks,
   if (lanes_ <= 1 || n_tasks == 1 || tl_in_region) {
     // Inline: single-lane pools, trivial regions, and nested parallelism
     // all reduce to the serial order — results are identical by design.
-    const bool outer = !tl_in_region;
-    if (outer) tl_in_region = true;
+    struct Enter {
+      bool outer = !tl_in_region;
+      Enter() { tl_in_region = true; }
+      ~Enter() {
+        if (outer) tl_in_region = false;  // also when fn throws
+      }
+    } enter;
     for (std::size_t i = 0; i < n_tasks; ++i) fn(i);
-    if (outer) tl_in_region = false;
     return;
   }
 
@@ -116,6 +128,7 @@ void ThreadPool::run(std::size_t n_tasks,
            r.active_workers == 0;
   });
   region_ = nullptr;
+  if (r.error) std::rethrow_exception(r.error);
 }
 
 std::size_t default_lanes() {

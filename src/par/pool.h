@@ -22,6 +22,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -49,9 +50,10 @@ class ThreadPool {
 
   /// Executes fn(0) ... fn(n_tasks-1) across all lanes and returns when
   /// every task has finished. fn must be safe to invoke concurrently for
-  /// DISTINCT task indices; each index runs exactly once. Exceptions
-  /// thrown by fn terminate (tasks run on worker threads) — parallel
-  /// bodies must be noexcept in practice, like GPU kernels.
+  /// DISTINCT task indices; each index runs at most once. If a task
+  /// throws, on any lane, the tasks not yet started are skipped, the
+  /// region drains, and run() rethrows the first exception on the caller;
+  /// the pool stays usable for the next region.
   void run(std::size_t n_tasks, const std::function<void(std::size_t)>& fn);
 
   /// True while the calling thread is executing a task of some region
@@ -65,6 +67,8 @@ class ThreadPool {
     std::atomic<std::size_t> next{0};     ///< next task index to grab
     std::atomic<std::size_t> pending{0};  ///< tasks not yet finished
     int active_workers = 0;               ///< workers inside work_on (mu_)
+    std::atomic<bool> failed{false};      ///< a task threw: skip the rest
+    std::exception_ptr error;             ///< the first throw (mu_)
   };
 
   void worker_main();

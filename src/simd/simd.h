@@ -29,6 +29,11 @@ namespace gs::simd {
 /// Lanes of the configure-time vector width (1 = scalar fallback).
 inline constexpr int kNativeWidth = GS_SIMD_WIDTH;
 
+/// Lanes for min/max reduction loops: at most one 256-bit register of
+/// doubles. GCC splits 8-wide compares into per-lane moves through the
+/// stack; minmax_run<8> measured 3.4 ns/cell against 0.4 at width 4.
+inline constexpr int kReduceWidth = kNativeWidth < 4 ? kNativeWidth : 4;
+
 /// W doubles computed elementwise. Loads/stores are unaligned (memcpy —
 /// the compiler lowers them to vector moves), so callers never owe an
 /// alignment promise for interior-offset stencil accesses.
@@ -121,6 +126,10 @@ struct pack {
   /// the std:: versions, NaN/-0.0 handling depends on argument order —
   /// callers that need order-independence must guarantee totally ordered
   /// inputs (simulation fields qualify).
+#if defined(__GNUC__) || defined(__clang__)
+  friend pack min(pack a, pack b) { return pack{b.v < a.v ? b.v : a.v}; }
+  friend pack max(pack a, pack b) { return pack{a.v < b.v ? b.v : a.v}; }
+#else
   friend pack min(pack a, pack b) {
     pack r;
     for (int l = 0; l < W; ++l)
@@ -133,6 +142,7 @@ struct pack {
       r.set_lane(l, std::max(a.lane(l), b.lane(l)));
     return r;
   }
+#endif
 };
 
 /// Scalar specialization: the W=1 fallback every identity test compares

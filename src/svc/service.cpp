@@ -263,26 +263,21 @@ ResponseBody Service::execute(const QueryBody& body, Response& response) {
             return r;
           },
           [&](const FieldStatsQ& q) -> ResponseBody {
-            const auto info = reader_.info(q.variable);
-            const auto data = read_selection(
-                q.variable, q.step, Box3{{0, 0, 0}, info.shape}, response);
-            return FieldStatsR{analysis::compute_stats(data)};
+            const BlockWalk field = walk_field(q.variable, q.step, response);
+            return FieldStatsR{
+                analysis::stats_from_exact(analysis::exact_stats(field.parts))};
           },
           [&](const HistogramQ& q) -> ResponseBody {
             GS_REQUIRE(q.bins >= 1 && q.bins <= (1u << 20),
                        "histogram bins " << q.bins << " out of range");
-            const auto info = reader_.info(q.variable);
-            const auto data = read_selection(
-                q.variable, q.step, Box3{{0, 0, 0}, info.shape}, response);
-            if (q.has_range) {
-              GS_REQUIRE(q.hi > q.lo, "histogram range [" << q.lo << ","
-                                                          << q.hi
-                                                          << ") empty");
-              return merge::histogram_response(
-                  analysis::field_histogram(data, q.bins, q.lo, q.hi));
-            }
+            GS_REQUIRE(!q.has_range || q.hi > q.lo,
+                       "histogram range [" << q.lo << "," << q.hi
+                                           << ") empty");
+            const BlockWalk field = walk_field(q.variable, q.step, response);
             return merge::histogram_response(
-                analysis::field_histogram(data, q.bins));
+                q.has_range ? analysis::field_histogram(field.parts, q.bins,
+                                                        q.lo, q.hi)
+                            : analysis::field_histogram(field.parts, q.bins));
           },
           [&](const Slice2DQ& q) -> ResponseBody {
             GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
@@ -349,6 +344,15 @@ ResponseBody Service::execute_partial(const Request& request,
     return ep.ring->owner(shard::Ring::block_key(variable, step, block)) ==
            sel.act_as;
   };
+  // The owned blocks in place; a damaged one stays uncovered.
+  const auto walk_owned = [&](const std::string& variable, std::int64_t step) {
+    meta.total_blocks = reader_.blocks(variable, step).size();
+    BlockWalk walk = walk_blocks(
+        variable, step, meta.total_blocks,
+        [&](std::size_t b) { return owned(variable, step, b); }, response);
+    meta.covered_blocks = walk.parts.size();
+    return walk;
+  };
 
   ResponseBody body = std::visit(
       overloaded{
@@ -358,19 +362,9 @@ ResponseBody Service::execute_partial(const Request& request,
             return execute(QueryBody{q}, response);
           },
           [&](const FieldStatsQ& q) -> ResponseBody {
-            const auto blks = reader_.blocks(q.variable, q.step);
-            meta.total_blocks = blks.size();
-            ExactStats acc;
-            for (std::size_t b = 0; b < blks.size(); ++b) {
-              if (!owned(q.variable, q.step, b)) continue;
-              const BlockRef ref =
-                  fetch_block_ref(q.variable, q.step, b, response);
-              if (!ref.ok()) continue;  // damaged: stays uncovered
-              acc.merge(analysis::exact_stats(ref.data));
-              ++meta.covered_blocks;
-            }
-            meta.stats = acc;
-            return FieldStatsR{analysis::stats_from_exact(acc)};
+            const BlockWalk walk = walk_owned(q.variable, q.step);
+            meta.stats = analysis::exact_stats(walk.parts);
+            return FieldStatsR{analysis::stats_from_exact(*meta.stats)};
           },
           [&](const HistogramQ& q) -> ResponseBody {
             GS_REQUIRE(q.bins >= 1 && q.bins <= (1u << 20),
@@ -378,19 +372,9 @@ ResponseBody Service::execute_partial(const Request& request,
             GS_REQUIRE(q.has_range && q.hi > q.lo,
                        "shard histogram sub-query needs an explicit "
                        "non-empty range");
-            const auto blks = reader_.blocks(q.variable, q.step);
-            meta.total_blocks = blks.size();
-            Histogram h(q.lo, q.hi, q.bins);
-            for (std::size_t b = 0; b < blks.size(); ++b) {
-              if (!owned(q.variable, q.step, b)) continue;
-              const BlockRef ref =
-                  fetch_block_ref(q.variable, q.step, b, response);
-              if (!ref.ok()) continue;
-              h.merge(
-                  analysis::field_histogram(ref.data, q.bins, q.lo, q.hi));
-              ++meta.covered_blocks;
-            }
-            return merge::histogram_response(h);
+            const BlockWalk walk = walk_owned(q.variable, q.step);
+            return merge::histogram_response(
+                analysis::field_histogram(walk.parts, q.bins, q.lo, q.hi));
           },
           [&](const Slice2DQ& q) -> ResponseBody {
             GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
@@ -562,6 +546,59 @@ std::vector<double> Service::read_owned(const std::string& variable,
     ++meta.covered_blocks;
   }
   return out;
+}
+
+Service::BlockWalk Service::walk_blocks(
+    const std::string& variable, std::int64_t step,
+    std::size_t n_blocks, const std::function<bool(std::size_t)>& keep,
+    Response& response) {
+  BlockWalk walk;
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    if (!keep(b)) continue;
+    BlockRef ref = fetch_block_ref(variable, step, b, response);
+    if (!ref.ok()) continue;
+    walk.parts.push_back(ref.data);
+    walk.refs.push_back(std::move(ref));
+  }
+  return walk;
+}
+
+Service::BlockWalk Service::walk_field(const std::string& variable,
+                                       std::int64_t step,
+                                       Response& response) {
+  const Box3 field{{0, 0, 0}, reader_.info(variable).shape};
+  const auto blks = reader_.blocks(variable, step);  // rejects scalars
+  bool in_place = true;
+  for (std::size_t b = 0; b < blks.size() && in_place; ++b) {
+    const Box3& box = blks[b].box;
+    if (box.empty()) continue;
+    in_place = box.intersect(field) == box;
+    for (std::size_t c = 0; c < b && in_place; ++c) {
+      in_place = blks[c].box.empty() || box.intersect(blks[c].box).empty();
+    }
+  }
+  if (!in_place) {
+    auto copy = std::make_shared<const std::vector<double>>(
+        read_selection(variable, step, field, response));
+    BlockWalk walk;
+    walk.parts.emplace_back(*copy);
+    walk.refs.push_back(BlockRef{*copy, copy, nullptr});
+    return walk;
+  }
+  // Empty blocks overlap nothing; read_selection does not fetch them.
+  BlockWalk walk = walk_blocks(
+      variable, step, blks.size(),
+      [&](std::size_t b) { return !blks[b].box.empty(); }, response);
+  // Cells of damaged blocks and of no block at all: zeros, as in
+  // read_selection's zero-initialised copy.
+  static const std::array<double, 4096> kZeros{};
+  auto left = static_cast<std::size_t>(field.volume());
+  for (const auto& part : walk.parts) left -= part.size();
+  while (left > 0) {
+    walk.parts.emplace_back(kZeros.data(), std::min(left, kZeros.size()));
+    left -= walk.parts.back().size();
+  }
+  return walk;
 }
 
 std::vector<double> Service::read_selection(const std::string& variable,

@@ -270,6 +270,27 @@ class Service {
   /// route. Maintains the response's fetch counters on both routes.
   BlockRef fetch_block_ref(const std::string& variable, std::int64_t step,
                            std::size_t block, Response& response);
+  /// The intact blocks of one step, viewed in place for a whole-field
+  /// reduction: `parts` spans their cells and `refs` pins the views.
+  struct BlockWalk {
+    std::vector<BlockRef> refs;
+    std::vector<std::span<const double>> parts;
+  };
+  /// Fetches each of the step's `n_blocks` blocks that `keep` accepts; a
+  /// damaged one stays out of `parts` (fetch_block_ref has flagged the
+  /// response).
+  BlockWalk walk_blocks(const std::string& variable, std::int64_t step,
+                        std::size_t n_blocks,
+                        const std::function<bool(std::size_t)>& keep,
+                        Response& response);
+  /// The whole field as parts: the multiset of cells, fetch counters and
+  /// degraded flag of read_selection over the whole shape. When the
+  /// blocks are disjoint and inside the shape the parts are the blocks
+  /// in place, plus a 0.0 for every cell no intact block covers;
+  /// otherwise only read_selection's assembly order defines the field and
+  /// the one part is its copy.
+  BlockWalk walk_field(const std::string& variable, std::int64_t step,
+                       Response& response);
   /// read_selection restricted to the blocks `act_as` owns under `ring`:
   /// unowned cells stay zero, coverage boxes (selection-local) and block
   /// counts land in `meta` for the router's overlay merge.

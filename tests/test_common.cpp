@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/clock.h"
@@ -399,6 +401,124 @@ TEST(WallTimer, MeasuresSomethingNonNegative) {
   volatile double sink = 0;
   for (int i = 0; i < 10000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
+}
+
+// --------------------------------------------------------- exact stats
+
+/// The reference for add_many: add() over xs in order.
+gs::ExactStats add_loop(const std::vector<double>& xs,
+                        gs::ExactStats acc = {}) {
+  for (const double x : xs) acc.add(x);
+  return acc;
+}
+
+double with_sign(Rng& rng, double x) {
+  return rng.next_u64() % 2 == 0 ? x : -x;
+}
+
+/// Seeded values of every kind add_many must bucket exactly: zeros of
+/// both signs, subnormals, normals across the exponent range (squares
+/// that underflow included) and magnitudes near 1e150.
+std::vector<double> mixed_values(Rng& rng, std::size_t n) {
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    const double u = 1.0 + rng.uniform01();
+    switch (rng.next_u64() % 5) {
+      case 0: x = with_sign(rng, 0.0); break;
+      case 1:
+        x = with_sign(rng, std::ldexp(u, -1075 + static_cast<int>(
+                                                      rng.next_u64() % 52)));
+        break;
+      case 2:
+        x = with_sign(rng, std::ldexp(u, 490 + static_cast<int>(
+                                                  rng.next_u64() % 20)));
+        break;
+      case 3:
+        x = with_sign(rng, std::ldexp(u, static_cast<int>(
+                                             rng.next_u64() % 1500) -
+                                             1000));
+        break;
+      default: x = with_sign(rng, u); break;
+    }
+  }
+  return xs;
+}
+
+TEST(ExactStatsAddMany, EqualsAddLoopOnMixedInputsAtEveryLength) {
+  Rng rng(20260415);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2047}, std::size_t{2048},
+                              std::size_t{2049}, std::size_t{100000}}) {
+    const auto xs = mixed_values(rng, n);
+    gs::ExactStats many;
+    many.add_many(xs);
+    EXPECT_EQ(many, add_loop(xs)) << "n=" << n;
+    EXPECT_EQ(many.count(), n);
+  }
+}
+
+TEST(ExactStatsAddMany, EqualsAddLoopOnRunsOfOneExponentAndOfZeros) {
+  Rng rng(7);
+  // 10^5 values in [0.5, 1): every significand lands in one bucket, so
+  // flushes at 2048 adds are what keeps it from overflowing.
+  std::vector<double> run(100000);
+  for (double& x : run) x = 0.5 + 0.5 * rng.uniform01();
+  run[0] = std::nextafter(1.0, 0.0);  // the largest significand
+  gs::ExactStats many;
+  many.add_many(run);
+  EXPECT_EQ(many, add_loop(run));
+
+  std::vector<double> zeros(5000, 0.0);
+  zeros[4000] = 3.0;
+  zeros[4001] = -0.0;
+  gs::ExactStats z;
+  z.add_many(zeros);
+  EXPECT_EQ(z, add_loop(zeros));
+
+  // Appending to a nonempty accumulator, span after span.
+  gs::ExactStats acc = add_loop(mixed_values(rng, 3000));
+  gs::ExactStats ref = acc;
+  for (int part = 0; part < 4; ++part) {
+    const auto xs = part % 2 == 0 ? mixed_values(rng, 4097) : zeros;
+    acc.add_many(xs);
+    ref = add_loop(xs, ref);
+    EXPECT_EQ(acc, ref) << "part " << part;
+  }
+}
+
+TEST(ExactStatsAddMany, KeepsTheFirstZeroAsAddDoes) {
+  // -0.0 == +0.0, so operator== cannot tell which one min/max kept. The
+  // later zero sits in an earlier vector lane than the first one.
+  for (const auto& xs :
+       {std::vector<double>{5.0, 0.0, 7.0, 8.0, -0.0, 9.0, 10.0, 11.0, 12.0},
+        std::vector<double>{-5.0, -0.0, -7.0, -8.0, 0.0, -9.0, -10.0, -11.0,
+                            -12.0}}) {
+    gs::ExactStats many;
+    many.add_many(xs);
+    const gs::ExactStats loop = add_loop(xs);
+    EXPECT_EQ(std::signbit(many.min()), std::signbit(loop.min()));
+    EXPECT_EQ(std::signbit(many.max()), std::signbit(loop.max()));
+  }
+}
+
+TEST(ExactStatsAddMany, RejectsNonFiniteBeforeAccumulating) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 1e160}) {
+    std::vector<double> xs(3000, 1.5);
+    xs[2500] = bad;
+    gs::ExactStats acc;
+    acc.add(2.0);
+    const gs::ExactStats before = acc;
+    EXPECT_THROW(acc.add_many(xs), gs::Error);
+    EXPECT_EQ(acc, before);
+    EXPECT_THROW(gs::ExactStats{}.add(bad), gs::Error);
+  }
+  // The buckets are clean for the next call.
+  const std::vector<double> ok(3000, 1.5);
+  gs::ExactStats acc;
+  acc.add_many(ok);
+  EXPECT_EQ(acc, add_loop(ok));
 }
 
 // ------------------------------------------------------------ checksum

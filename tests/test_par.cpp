@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <random>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/error.h"
 #include "par/par.h"
 #include "par/pool.h"
 #include "prof/profiler.h"
@@ -101,6 +103,79 @@ TEST(Pool, ResizeKeepsWorking) {
   pool.resize(2);
   pool.run(10, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 30);
+}
+
+/// Waits (bounded) until `flag` is set; false on timeout.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(Pool, TaskThrowingOnAWorkerIsRethrownByRun) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_ran{false};
+  // The caller's task holds its lane until a worker has thrown, so the
+  // throw is certain to happen on a worker thread.
+  EXPECT_THROW(pool.run(8,
+                        [&](std::size_t) {
+                          if (std::this_thread::get_id() == caller) {
+                            EXPECT_TRUE(wait_for(worker_ran));
+                            return;
+                          }
+                          worker_ran = true;
+                          GS_THROW(gs::Error, "worker tile failed");
+                        }),
+               gs::Error);
+  EXPECT_TRUE(worker_ran.load());
+  EXPECT_FALSE(ThreadPool::in_region());
+
+  std::atomic<int> n{0};
+  pool.run(16, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 16);
+}
+
+TEST(Pool, TaskThrowingOnTheCallerIsRethrownAfterTheRegionDrains) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_threw{false};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_after_return{0};
+  try {
+    pool.run(8, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_threw = true;
+        GS_THROW(gs::Error, "caller tile failed");
+      }
+      in_flight.fetch_add(1);
+      EXPECT_TRUE(wait_for(caller_threw));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      in_flight.fetch_sub(1);
+    });
+    ADD_FAILURE() << "run() did not rethrow";
+  } catch (const gs::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("caller tile failed"),
+              std::string::npos);
+    // No worker is still inside a task of the unwound region.
+    max_after_return = in_flight.load();
+  }
+  EXPECT_EQ(max_after_return.load(), 0);
+  EXPECT_FALSE(ThreadPool::in_region());
+
+  std::atomic<int> n{0};
+  pool.run(16, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 16);
+}
+
+TEST(Pool, InlineRegionThatThrowsLeavesTheThreadOutsideARegion) {
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.run(3, [](std::size_t) { GS_THROW(gs::Error, "x"); }),
+               gs::Error);
+  EXPECT_FALSE(ThreadPool::in_region());
 }
 
 // ------------------------------------------------------------------ tiles

@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -19,7 +22,9 @@
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
 #include "prof/profiler.h"
+#include "rpc/wire.h"
 #include "svc/cache.h"
+#include "svc/merge.h"
 #include "svc/service.h"
 
 namespace {
@@ -294,6 +299,193 @@ TEST(SvcMmapIdentity, PerResponseScanAccountingIsExact) {
   EXPECT_EQ(resp.bytes_scanned, sizeof(double) * kL * kL * kL);
   EXPECT_EQ(resp.cache_hits + resp.cache_misses, 4u);  // 4 writer ranks
   EXPECT_GT(resp.exec_seconds, 0.0);
+}
+
+// ---- whole-field reductions in place over the blocks ----------------------
+
+/// The layouts a whole-field reduction meets: blocks that tile the
+/// field, blocks that overlap (only read_selection's copy defines the
+/// field), and a rank that writes nothing (its cells read as zeros).
+enum class Layout { tiled, overlapping, gap };
+
+/// Writes one step of L^3 "U" (cell_value) and "V" (mostly zeros, as in
+/// a Gray-Scott V field) from 4 ranks. L = 48 spans several 32768-cell
+/// analysis tiles, so tiles cross block boundaries.
+std::string write_field(const std::string& name, Layout layout,
+                        bool compress, double poison = 0.0) {
+  constexpr std::int64_t L = 48;
+  const std::string path = temp_dataset(name);
+  fs::remove_all(path);
+  gs::mpi::run(4, [&](gs::mpi::Comm& world) {
+    const Index3 shape{L, L, L};
+    Box3 box = Decomposition::cube(L, world.size()).local_box(world.rank());
+    if (layout == Layout::overlapping) {
+      // Slabs in k, each reaching 3 cells into the next one's.
+      box = Box3{{0, 0, 12 * world.rank()},
+                 {L, L, std::min<std::int64_t>(15, L - 12 * world.rank())}};
+    }
+    std::vector<double> u(static_cast<std::size_t>(box.volume()));
+    std::vector<double> v(u.size(), 0.0);
+    std::size_t n = 0;
+    for (std::int64_t k = box.start.k; k < box.end().k; ++k) {
+      for (std::int64_t j = box.start.j; j < box.end().j; ++j) {
+        for (std::int64_t i = box.start.i; i < box.end().i; ++i, ++n) {
+          u[n] = 1.0 + cell_value({i, j, k}, shape, 0) / (L * L * L);
+          if ((i + j + k) % 7 == 0) v[n] = 0.25 * u[n];
+        }
+      }
+    }
+    if (world.rank() == 1 && poison != 0.0) u[u.size() / 2] = poison;
+    gs::bp::Writer w(path, world, 2);
+    w.set_compression(compress);
+    w.begin_step();
+    if (layout != Layout::gap || world.rank() != 2) {
+      w.put("U", shape, box, u);
+      w.put("V", shape, box, v);
+    }
+    w.end_step();
+    w.close();
+  });
+  return path;
+}
+
+/// Flips one payload byte of block 0 of U, so its CRC check fails.
+void damage_first_u_block(const std::string& path) {
+  const gs::bp::Reader r(path);
+  const gs::bp::BlockRecord victim = r.blocks("U", 0).at(0);
+  std::fstream f(fs::path(path) / gs::bp::subfile_name(victim.subfile),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  f.seekg(static_cast<std::streamoff>(victim.offset) + 8);
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x20);
+  f.seekp(static_cast<std::streamoff>(victim.offset) + 8);
+  f.write(&c, 1);
+}
+
+Response call(Service& service, QueryBody body) {
+  Request req;
+  req.body = std::move(body);
+  return service.call(req);
+}
+
+/// FieldStats and Histogram (with and without a range) on one service
+/// answer the same bytes as compute_stats/field_histogram over the
+/// whole-shape ReadBox (read_selection's vector) on a twin service, with
+/// the same salvage flags and fetch counters request by request.
+void expect_in_place_matches_copy(const std::string& path,
+                                  const ServiceConfig& config,
+                                  std::size_t bad_blocks) {
+  Service in_place(path, config);
+  Service copying(path, config);
+  const gs::bp::Reader reader(path);
+  for (const std::string var : {"U", "V"}) {
+    const Box3 whole{{0, 0, 0}, reader.info(var).shape};
+    const std::vector<QueryBody> queries = {
+        FieldStatsQ{var, 0}, HistogramQ{var, 0, 64},
+        HistogramQ{var, 0, 16, true, 0.5, 1.5}};
+    for (const QueryBody& q : queries) {
+      const Response got = call(in_place, q);
+      const Response box = call(copying, ReadBoxQ{var, 0, whole});
+      ASSERT_TRUE(got.status.ok()) << got.status.message;
+      ASSERT_TRUE(box.status.ok()) << box.status.message;
+      const auto& values = std::get<ReadBoxR>(box.body).values;
+
+      Response expect;
+      expect.verb = got.verb;
+      if (const auto* h = std::get_if<HistogramQ>(&q)) {
+        expect.body = merge::histogram_response(
+            h->has_range
+                ? gs::analysis::field_histogram(values, h->bins, h->lo, h->hi)
+                : gs::analysis::field_histogram(values, h->bins));
+      } else {
+        expect.body = FieldStatsR{gs::analysis::compute_stats(values)};
+      }
+      EXPECT_EQ(gs::rpc::encode_answer_identity(got),
+                gs::rpc::encode_answer_identity(expect))
+          << var << " verb " << to_string(got.verb);
+
+      const std::size_t bad = var == "U" ? bad_blocks : 0;
+      EXPECT_EQ(got.degraded, bad > 0);
+      EXPECT_EQ(got.bad_blocks, bad);
+      EXPECT_EQ(box.bad_blocks, bad);
+      EXPECT_EQ(got.bytes_scanned, box.bytes_scanned);
+      EXPECT_EQ(got.cache_hits, box.cache_hits);
+      EXPECT_EQ(got.cache_misses, box.cache_misses);
+      EXPECT_EQ(got.disk_bytes, box.disk_bytes);
+    }
+  }
+}
+
+ServiceConfig copying_route() {
+  ServiceConfig c;
+  c.mmap_reads = false;
+  return c;
+}
+
+TEST(SvcInPlace, MappedRouteMatchesAssembledCopy) {
+  const auto path = write_field("inplace_mapped", Layout::tiled, false);
+  expect_in_place_matches_copy(path, ServiceConfig{}, 0);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, CopyingRouteMatchesAssembledCopy) {
+  const auto path = write_field("inplace_copying", Layout::tiled, false);
+  expect_in_place_matches_copy(path, copying_route(), 0);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, CompressedBlocksMatchAssembledCopy) {
+  const auto path = write_field("inplace_gorilla", Layout::tiled, true);
+  expect_in_place_matches_copy(path, ServiceConfig{}, 0);
+  expect_in_place_matches_copy(path, copying_route(), 0);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, DamagedBlockCountsAsZerosAndDegrades) {
+  const auto path = write_field("inplace_damaged", Layout::tiled, false);
+  damage_first_u_block(path);
+  expect_in_place_matches_copy(path, ServiceConfig{}, 1);
+  expect_in_place_matches_copy(path, copying_route(), 1);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, CellsOfNoBlockCountAsZeros) {
+  const auto path = write_field("inplace_gap", Layout::gap, false);
+  expect_in_place_matches_copy(path, ServiceConfig{}, 0);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, OverlappingBlocksFallBackToTheAssembledCopy) {
+  const auto path = write_field("inplace_overlap", Layout::overlapping, false);
+  expect_in_place_matches_copy(path, ServiceConfig{}, 0);
+  Service service(path);
+  const Response r = call(service, FieldStatsQ{"U", 0});
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(std::get<FieldStatsR>(r.body).stats.count, 48u * 48u * 48u);
+  fs::remove_all(path);
+}
+
+TEST(SvcInPlace, NonFiniteCellIsBadRequestAndTheServiceKeepsServing) {
+  // A NaN cell, and one whose square overflows: FieldStats cannot answer
+  // either exactly. The reduction throws on a gs::par worker lane; the
+  // request must fail alone, not the daemon.
+  for (const double poison :
+       {std::numeric_limits<double>::quiet_NaN(), 1e160}) {
+    const auto path =
+        write_field("inplace_nan", Layout::tiled, false, poison);
+    Service service(path);
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(call(service, FieldStatsQ{"U", 0}).status.code,
+                StatusCode::bad_request);
+      // No NaN-free answer exists; any status will do but a crash.
+      call(service, HistogramQ{"U", 0, 64});
+      EXPECT_TRUE(call(service, FieldStatsQ{"V", 0}).status.ok());
+      EXPECT_TRUE(call(service, HistogramQ{"V", 0, 64}).status.ok());
+    }
+    fs::remove_all(path);
+  }
 }
 
 // ---- admission control ----------------------------------------------------

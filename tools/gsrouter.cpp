@@ -5,8 +5,8 @@
 // byte-identical answers, merged exactly from per-shard partials.
 //
 //   gsrouter --map cluster.json
-//   gsrouter --map cluster.json --listen unix:/tmp/gs-router.sock \
-//            --ready-file r.txt
+//   gsrouter --map cluster.json --listen unix:/tmp/gs-router.sock
+//   gsrouter --map cluster.json --ready-file r.txt
 //   gsrouter --map cluster.json --no-failover --probe-ms 100
 //
 // Shutdown: SIGINT/SIGTERM drain gracefully — in-flight scatters finish,
